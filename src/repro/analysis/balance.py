@@ -37,19 +37,7 @@ def balance_index(loads: Sequence[float]) -> float:
     all-zero vector is *perfectly balanced* by convention (returns 1.0) —
     an idle controller domain is not an unbalanced one.
     """
-    values = np.asarray(list(loads), dtype=float)
-    if values.size == 0:
-        raise ValueError("balance index of an empty load vector")
-    if np.any(values < 0):
-        raise ValueError("negative load")
-    peak = values.max()
-    if peak <= 0:
-        return 1.0
-    # The index is scale-invariant; normalizing by the peak load keeps the
-    # squares well inside float range for arbitrarily tiny or huge loads.
-    scaled = values / peak
-    total = scaled.sum()
-    return float(total * total / (values.size * np.square(scaled).sum()))
+    return float(balance_index_rows(_one_row(loads))[0])
 
 
 def normalized_balance_index(loads: Sequence[float]) -> float:
@@ -58,13 +46,47 @@ def normalized_balance_index(loads: Sequence[float]) -> float:
     For a single-AP domain (n = 1) the index is defined as 1.0 — one AP is
     trivially balanced.
     """
-    values = list(loads)
-    n = len(values)
-    beta = balance_index(values)
+    return float(normalized_balance_index_rows(_one_row(loads))[0])
+
+
+def balance_index_rows(loads: np.ndarray) -> np.ndarray:
+    """:func:`balance_index` of every row of a 2-D ``(rows, n)`` array.
+
+    The scalar index is this function on one row, so each row's value is
+    the same float as ``balance_index(row)``.
+    """
+    values = np.ascontiguousarray(loads, dtype=float)
+    if values.ndim != 2 or values.shape[1] == 0:
+        raise ValueError("balance index of an empty load vector")
+    if values.size and values.min() < 0:
+        raise ValueError("negative load")
+    peak = values.max(axis=1)
+    idle = peak <= 0
+    if idle.any():
+        # An all-ones row scores exactly 1.0 under the same arithmetic,
+        # which is the all-zero convention, without dividing by zero.
+        values = np.where(idle[:, None], 1.0, values)
+        peak = np.where(idle, 1.0, peak)
+    # The index is scale-invariant; normalizing by the peak load keeps the
+    # squares well inside float range for arbitrarily tiny or huge loads.
+    scaled = values / peak[:, None]
+    total = scaled.sum(axis=1)
+    beta: np.ndarray = total * total / (values.shape[1] * np.square(scaled).sum(axis=1))
+    return beta
+
+
+def normalized_balance_index_rows(loads: np.ndarray) -> np.ndarray:
+    """:func:`normalized_balance_index` of every row of a 2-D array."""
+    beta = balance_index_rows(loads)
+    n = np.shape(loads)[1]
     if n == 1:
-        return 1.0
+        return np.ones_like(beta)
     floor = 1.0 / n
-    return float((beta - floor) / (1.0 - floor))
+    return (beta - floor) / (1.0 - floor)
+
+
+def _one_row(loads: Sequence[float]) -> np.ndarray:
+    return np.asarray(list(loads), dtype=float).reshape(1, -1)
 
 
 def ap_throughputs(

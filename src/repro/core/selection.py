@@ -27,12 +27,16 @@ alike; it never mutates caller state.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.balance import normalized_balance_index
+import numpy as np
+
+from repro.analysis.balance import (
+    normalized_balance_index,
+    normalized_balance_index_rows,
+)
 from repro.core.demand import DemandEstimator
 from repro.core.social import SocialModel
 from repro.graph.clique import clique_cover
@@ -211,51 +215,53 @@ class S3Selector:
     def _place_exhaustive(
         self, members: List[str], aps: Sequence[APState]
     ) -> Dict[str, str]:
-        rates = [self.demand.estimate(user) for user in members]
-        # delta between clique members, precomputed once.
-        internal = {
-            (i, j): self.social.social_index(members[i], members[j])
-            for i in range(len(members))
-            for j in range(i + 1, len(members))
-        }
-        scored: List[Tuple[float, float, Tuple[int, ...]]] = []
-        for combo in itertools.product(range(len(aps)), repeat=len(members)):
-            cost = 0.0
-            added_load = [0.0] * len(aps)
-            feasible = True
-            for i, ap_index in enumerate(combo):
-                ap = aps[ap_index]
-                cost += self.added_social_cost(members[i], ap)
-                added_load[ap_index] += rates[i]
-            for (i, j), delta in internal.items():
-                if combo[i] == combo[j]:
-                    cost += delta
-            for ap_index, extra in enumerate(added_load):
-                ap = aps[ap_index]
-                if extra > 0 and ap.load + extra > ap.bandwidth:
-                    feasible = False
-                    break
-            if not feasible:
-                continue
-            loads_after = [
-                ap.load + added_load[ap_index] for ap_index, ap in enumerate(aps)
-            ]
-            beta = normalized_balance_index(loads_after)
-            scored.append((cost, -beta, combo))
+        """Score every user->AP distribution at once.
 
-        if not scored:
+        Column ``r`` of the grid is the ``r``-th distribution in
+        ``itertools.product`` order.  Costs are accumulated in the order a
+        per-distribution sum would use (member terms, then internal pairs
+        lexicographically), so each is the same float; the balance index
+        is computed only for rows that can reach the top fraction.
+        """
+        size, width = len(members), len(aps)
+        # C(AP) increments: one per (member, AP), shared by all distributions.
+        table = np.array(
+            [[self.added_social_cost(user, ap) for ap in aps] for user in members],
+            dtype=float,
+        )
+        grid = np.indices((width,) * size).reshape(size, -1)
+        rows = np.arange(grid.shape[1])
+        cost = np.zeros(rows.size)
+        for i in range(size):
+            cost += table[i, grid[i]]
+        for i in range(size):
+            for j in range(i + 1, size):
+                delta = self.social.social_index(members[i], members[j])
+                cost += np.where(grid[i] == grid[j], delta, 0.0)
+        added = np.zeros((rows.size, width))
+        for i, user in enumerate(members):
+            added[rows, grid[i]] += self.demand.estimate(user)
+        after = np.array([ap.load for ap in aps]) + added
+        bandwidth = np.array([ap.bandwidth for ap in aps])
+        feasible = ~np.any((added > 0) & (after > bandwidth), axis=1)
+
+        count = int(np.count_nonzero(feasible))
+        if count == 0:
             # Bandwidth rules everything out; admit greedily anyway.
             return self._place_greedy(members, aps, ignore_bandwidth=True)
-
-        scored.sort(key=lambda item: (item[0], item[1]))
-        keep = max(1, int(math.ceil(len(scored) * self.config.top_fraction)))
-        top = scored[:keep]
-        # Among the cheapest distributions, maximize the balance index
-        # (stored negated), breaking remaining ties by cost then combo for
-        # determinism.
-        best = min(top, key=lambda item: (item[1], item[0], item[2]))
-        combo = best[2]
-        return {members[i]: aps[ap_index].ap_id for i, ap_index in enumerate(combo)}
+        keep = max(1, int(math.ceil(count * self.config.top_fraction)))
+        # Rows above the keep-th smallest feasible cost can neither enter
+        # the top fraction nor break its cost ties.
+        cutoff = np.partition(cost[feasible], keep - 1)[keep - 1]
+        (candidates,) = np.nonzero(feasible & (cost <= cutoff))
+        scores = cost[candidates]
+        beta = normalized_balance_index_rows(after[candidates])
+        # The cheapest ``keep`` by (cost, -beta, row); among them maximize
+        # the balance index, breaking remaining ties by cost then row.
+        top = np.lexsort((candidates, -beta, scores))[:keep]
+        best = top[np.lexsort((candidates[top], scores[top], -beta[top]))[0]]
+        combo = grid[:, candidates[best]]
+        return {user: aps[int(k)].ap_id for user, k in zip(members, combo)}
 
     def _place_greedy(
         self,

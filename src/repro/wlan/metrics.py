@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.balance import normalized_balance_index
+from repro.analysis.balance import normalized_balance_index_rows
 from repro.wlan.entities import CampusRuntime
 
 
@@ -29,11 +29,11 @@ class ControllerSeries:
 
     def balance_series(self) -> np.ndarray:
         """Normalized traffic-balance index at every sample."""
-        return np.array([normalized_balance_index(row) for row in self.loads])
+        return normalized_balance_index_rows(self.loads)
 
     def user_balance_series(self) -> np.ndarray:
         """Normalized user-count-balance index at every sample."""
-        return np.array([normalized_balance_index(row) for row in self.user_counts])
+        return normalized_balance_index_rows(self.user_counts)
 
     def mean_balance(self) -> float:
         """Mean normalized balance over every sample (idle samples are 1.0)."""

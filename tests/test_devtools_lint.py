@@ -366,29 +366,50 @@ def test_split_test_id_strips_parametrization():
     assert parts == ["test_extract_churn_engines_identical_random"]
 
 
-@pytest.mark.parametrize(
-    "test_file",
-    sorted({split_test_id(t)[0] for e in PARITY_REGISTRY.values() for t in e.tests}),
+REGISTERED_TEST_FILES = sorted(
+    {split_test_id(t)[0] for e in PARITY_REGISTRY.values() for t in e.tests}
 )
-def test_registry_tests_are_collected_by_pytest(test_file):
-    """Cross-check static resolution against real pytest collection."""
+
+
+@pytest.fixture(scope="module")
+def collected_registry_tests():
+    """(file, test name) pairs from one ``--collect-only`` pass over every
+    registered file at once, shared by the per-file cases below."""
     proc = subprocess.run(
         # no explicit -q: addopts already passes one, and a second would
         # collapse the listing to per-file counts
-        [sys.executable, "-m", "pytest", "--collect-only", test_file],
+        [
+            sys.executable,
+            "-m",
+            "pytest",
+            "--collect-only",
+            *REGISTERED_TEST_FILES,
+        ],
         cwd=REPO,
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": "src"},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    collected = {
-        line.split("::", 1)[1].split("[", 1)[0]
-        for line in proc.stdout.splitlines()
-        if "::" in line
+    return {
+        (path, name.split("[", 1)[0])
+        for path, _, name in (
+            line.partition("::") for line in proc.stdout.splitlines()
+        )
+        if name
     }
+
+
+@pytest.mark.parametrize("test_file", REGISTERED_TEST_FILES)
+def test_registry_tests_are_collected_by_pytest(
+    test_file, collected_registry_tests
+):
+    """Cross-check static resolution against real pytest collection."""
     for entry in PARITY_REGISTRY.values():
         for test_id in entry.tests:
             file_part, parts = split_test_id(test_id)
             if file_part == test_file:
-                assert parts[-1] in collected, test_id
+                assert (
+                    file_part,
+                    parts[-1],
+                ) in collected_registry_tests, test_id
